@@ -214,6 +214,12 @@ type Solver struct {
 	// starts from last slot's proven routes instead of artificials alone.
 	retain map[netmodel.Link][][]netmodel.DC
 
+	// colStat and rowStat are mapKeys' lookup tables from the previous
+	// model's keys to their resting statuses, cleared and refilled on every
+	// warm solve so translating a basis builds no fresh maps.
+	colStat map[modelKey]lp.BasisStatus
+	rowStat map[modelKey]lp.BasisStatus
+
 	stats SolveStats
 }
 
@@ -278,7 +284,7 @@ func (s *Solver) Solve(ledger *netmodel.Ledger, files []netmodel.File, t int) (*
 	opts.Presolve = true
 	snapshot := false
 	if s.valid && s.basis != nil {
-		opts.InitialBasis = mapBasis(s.basis, s.cols, s.rows, b)
+		opts.InitialBasis = s.mapBasis(b)
 		snapshot = opts.InitialBasis != nil
 	}
 	if opts.InitialBasis == nil {
@@ -327,7 +333,7 @@ func (s *Solver) solvePath(tg *timegraph.Graph, ledger *netmodel.Ledger, files [
 	opts.Presolve = true
 	snapshot := false
 	if s.valid && s.basis != nil {
-		if out, rowStat := mapKeys(s.basis, s.cols, s.rows, pb.colKeys, pb.rowKeys); out != nil {
+		if out, rowStat := s.mapKeys(pb.colKeys, pb.rowKeys); out != nil {
 			pathCrashNewFiles(out, rowStat, pb)
 			opts.InitialBasis = out.Normalize()
 			snapshot = true
@@ -587,8 +593,8 @@ func crashBasis(b *builder) *lp.Basis {
 	return out.Normalize()
 }
 
-// mapBasis translates a basis snapshot captured on a previous model onto
-// the builder's freshly assembled model. Columns and rows whose structural
+// mapBasis translates the cached basis snapshot, captured on the previous
+// model, onto the builder's freshly assembled model. Columns and rows whose structural
 // keys match carry their status over; unmatched columns rest at their lower
 // bound and unmatched rows keep their logicals basic (the cold default for
 // that position) — except that files absent from the previous model get a
@@ -597,8 +603,8 @@ func crashBasis(b *builder) *lp.Basis {
 // deficiency is left to the LU factorization's singularity repair. Only map
 // lookups are used — never map iteration — so the mapping is
 // bit-deterministic.
-func mapBasis(prev *lp.Basis, prevCols, prevRows []modelKey, b *builder) *lp.Basis {
-	out, rowStat := mapKeys(prev, prevCols, prevRows, b.colKeys, b.rowKeys)
+func (s *Solver) mapBasis(b *builder) *lp.Basis {
+	out, rowStat := s.mapKeys(b.colKeys, b.rowKeys)
 	if out == nil {
 		return nil
 	}
@@ -606,23 +612,31 @@ func mapBasis(prev *lp.Basis, prevCols, prevRows []modelKey, b *builder) *lp.Bas
 	return out.Normalize()
 }
 
-// mapKeys performs the formulation-independent half of basis translation:
-// columns and rows whose structural keys match carry their status over,
-// unmatched columns rest at their lower bound and unmatched rows keep their
-// logicals basic. The previous rows' status map is returned so the caller's
-// crash upgrade can tell carried files from new ones. The caller normalizes
-// after its upgrade. Only map lookups are used — never map iteration — so
-// the mapping is bit-deterministic.
-func mapKeys(prev *lp.Basis, prevCols, prevRows, curCols, curRows []modelKey) (*lp.Basis, map[modelKey]lp.BasisStatus) {
+// mapKeys performs the formulation-independent half of basis translation
+// from the cached snapshot (s.basis over keys s.cols and s.rows) to a model
+// with keys curCols and curRows: columns and rows whose structural keys
+// match carry their status over, unmatched columns rest at their lower
+// bound and unmatched rows keep their logicals basic. The previous rows'
+// status map is returned so the caller's crash upgrade can tell carried
+// files from new ones; it is the solver's retained table, valid until the
+// next call. The caller normalizes after its upgrade. Only map lookups are
+// used — never map iteration — so the mapping is bit-deterministic.
+func (s *Solver) mapKeys(curCols, curRows []modelKey) (*lp.Basis, map[modelKey]lp.BasisStatus) {
+	prev, prevCols, prevRows := s.basis, s.cols, s.rows
 	if prev == nil || prev.NumVars != len(prevCols) || prev.NumRows != len(prevRows) ||
 		len(prev.Status) != prev.NumVars+prev.NumRows {
 		return nil, nil
 	}
-	colStat := make(map[modelKey]lp.BasisStatus, len(prevCols))
+	if s.colStat == nil {
+		s.colStat = make(map[modelKey]lp.BasisStatus, len(prevCols))
+		s.rowStat = make(map[modelKey]lp.BasisStatus, len(prevRows))
+	}
+	colStat, rowStat := s.colStat, s.rowStat
+	clear(colStat)
+	clear(rowStat)
 	for j, k := range prevCols {
 		colStat[k] = prev.Status[j]
 	}
-	rowStat := make(map[modelKey]lp.BasisStatus, len(prevRows))
 	for i, k := range prevRows {
 		rowStat[k] = prev.Status[prev.NumVars+i]
 	}

@@ -23,11 +23,15 @@
 //     the serial row walk. Partitioning by column ranges preserves this;
 //     partitioning by rows would not.
 //   - Speculate/Collect may only serve a base solve computed against the
-//     exact *sparse.LU object the caller presents (pointer identity):
-//     refactorization builds a new LU, so stale speculation invalidates
-//     itself. A served result must be bit-identical to a fresh
-//     LU.SolveSparseRHS of the same column, which holds because the solve
-//     is a pure function of the immutable factors.
+//     factorization the caller presents now, keyed on the LU and its
+//     generation (sparse.LU.Gen), not on the LU pointer alone: the simplex
+//     refactorizes one LU in place, and every refactorization advances the
+//     generation, so stale speculation invalidates itself. Because refactorizing in place
+//     overwrites the factors a detached solve reads, the simplex calls Join
+//     before every refactorization. A served result must be bit-identical
+//     to a fresh LU.SolveSparseRHS of the same column, which holds because
+//     the solve is a pure function of factors that do not change between
+//     Speculate and Collect of the same generation.
 //   - All counters must be independent of the worker count: fan-out
 //     thresholds depend only on problem size, and the speculation batch is
 //     a fixed K, so serial-vs-parallel table diffs are byte-empty.
@@ -108,17 +112,23 @@ type Backend interface {
 
 	// Speculate starts batched base solves B⁻¹a_j for the runner-up
 	// candidates of the most recent PriceDevex call, excluding column
-	// skip, against the given factorization. It must not block on the
-	// solves. Serial backends may make it a no-op.
+	// skip, against the current factorization in lu, recording its
+	// generation. It must not block on the solves. Serial backends may
+	// make it a no-op.
 	Speculate(lu *sparse.LU, a *sparse.Matrix, limit, skip int)
 
 	// Collect returns the speculative base solve of column q if one was
-	// computed against exactly this lu (pointer identity). On a hit with
-	// sparseOK, x holds values at the positions listed in pat (other
-	// positions untouched since the slot was zeroed); with !sparseOK, x is
-	// the fully-written dense result. The returned slices are valid until
-	// the next Speculate call.
+	// computed against lu at its current generation. On a hit with sparseOK, x
+	// holds values at the positions listed in pat (other positions
+	// untouched since the slot was zeroed); with !sparseOK, x is the
+	// fully-written dense result. The returned slices are valid until the
+	// next Speculate call.
 	Collect(q int, lu *sparse.LU) (x []float64, pat []int, sparseOK, hit bool)
+
+	// Join waits until no speculative solve is running. The caller must
+	// Join before it overwrites the factors or the constraint matrix that
+	// a Speculate call was given.
+	Join()
 
 	// Counters returns the accumulated instrumentation.
 	Counters() Counters

@@ -33,12 +33,14 @@ const (
 	jobSpec
 )
 
-// specSlot holds one speculative base FTRAN: the column and factorization
-// it was computed against, a private workspace, and the result in the
-// slot-owned dense buffer x (pattern pat on the sparse path).
+// specSlot holds one speculative base FTRAN: the column, the LU and the
+// generation of the factorization it was computed against, a private
+// workspace, and the result in the slot-owned dense buffer x (pattern pat
+// on the sparse path).
 type specSlot struct {
 	col   int
 	lu    *sparse.LU
+	gen   uint64
 	a     *sparse.Matrix
 	limit int
 	x     []float64
@@ -299,10 +301,11 @@ func (p *parallel) DualDelta(at *sparse.CSR, rho []float64, rhoIdx []int, d []fl
 
 // Speculate launches detached base solves for the most recent scan's
 // runner-up candidates (minus the column that actually entered). The jobs
-// only read the immutable factors and constraint matrix and write
-// slot-private buffers, so they overlap safely with the caller's ratio
-// test, pivot, and even a refactorization — which replaces the LU object
-// and thereby invalidates the batch through Collect's pointer check.
+// only read the factors and constraint matrix and write slot-private
+// buffers, so they overlap safely with the caller's ratio test and pivot.
+// A refactorization rewrites the factors in place, so the caller Joins
+// first; the new generation it issues then invalidates the batch through
+// Collect's generation check.
 //
 // A single-worker pool has no spare core to burn on misses, so it records
 // the batch without solving and Collect runs the solve only when the
@@ -333,7 +336,7 @@ func (p *parallel) Speculate(lu *sparse.LU, a *sparse.Matrix, limit, skip int) {
 				sl.x[k] = 0
 			}
 		}
-		sl.col, sl.lu, sl.a, sl.limit = col, lu, a, limit
+		sl.col, sl.lu, sl.gen, sl.a, sl.limit = col, lu, lu.Gen(), a, limit
 		sl.pat, sl.ok, sl.done = nil, true, !p.lazy
 		n++
 	}
@@ -355,7 +358,7 @@ func (p *parallel) Collect(q int, lu *sparse.LU) (x []float64, pat []int, sparse
 	p.specWG.Wait()
 	for i := 0; i < p.specN; i++ {
 		sl := &p.spec[i]
-		if sl.col == q && sl.lu == lu {
+		if sl.col == q && sl.lu == lu && sl.gen == lu.Gen() {
 			p.counters.SpecFtranHits++
 			if !sl.done {
 				// Lazy hit: run the deferred base solve now. Identical
@@ -369,6 +372,8 @@ func (p *parallel) Collect(q int, lu *sparse.LU) (x []float64, pat []int, sparse
 	}
 	return nil, nil, false, false
 }
+
+func (p *parallel) Join() { p.specWG.Wait() }
 
 func (p *parallel) Counters() Counters { return p.counters }
 

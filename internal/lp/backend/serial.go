@@ -34,6 +34,8 @@ func (s *serial) Collect(q int, lu *sparse.LU) (x []float64, pat []int, sparseOK
 	return nil, nil, false, false
 }
 
+func (s *serial) Join() {}
+
 func (s *serial) Counters() Counters { return s.counters }
 
 func (s *serial) Close() {}

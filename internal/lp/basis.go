@@ -167,12 +167,12 @@ func (s *simplex) tryWarmStart(b *Basis) bool {
 	}
 	// Singularity repairs may have evicted basics in favour of logicals that
 	// were already basic elsewhere; verify the basis is still a bijection.
-	seen := make([]bool, total)
+	s.seen = zeroed(s.seen, total)
 	for _, bj := range s.basis {
-		if seen[bj] || s.vstat[bj] != vBasic {
+		if s.seen[bj] || s.vstat[bj] != vBasic {
 			return false
 		}
-		seen[bj] = true
+		s.seen[bj] = true
 	}
 	count := 0
 	for j := 0; j < total; j++ {

@@ -171,7 +171,8 @@ func TestDevexReportsSparseCounters(t *testing.T) {
 // TestSteadyStateIterationAllocs pins the zero-allocation property of the
 // per-iteration simplex kernels: once the solver's pooled buffers are warm,
 // FTRAN of an entering column, BTRAN of a pivot-row unit vector, pivot-row
-// assembly over the CSR mirror, and devex pricing must not allocate. This
+// assembly over the CSR mirror, devex pricing, and a full refactorization
+// of the basis must not allocate. This
 // is the property that keeps large time-expanded solves out of the
 // allocator; a regression here shows up as GC pressure long before it
 // shows up as wrong answers.
@@ -202,8 +203,8 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 			if tc.large {
 				m = largeFlowModel(rng)
 			}
-			cf, err := m.buildCompForm()
-			if err != nil {
+			var cf compForm
+			if err := m.buildCompForm(&cf); err != nil {
 				t.Fatal(err)
 			}
 			// A huge refactorization interval keeps the eta file growing
@@ -221,7 +222,8 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer be.Close()
-			s := newSimplex(cf, opt, be)
+			var s simplex
+			s.reset(&cf, opt, be)
 			if err := s.coldStart(); err != nil {
 				t.Fatal(err)
 			}
@@ -239,8 +241,14 @@ func TestSteadyStateIterationAllocs(t *testing.T) {
 				s.clearAlpha()
 				s.clearRho()
 				s.priceDevex()
-				s.be.Speculate(s.lu, s.cf.a, s.sparseLimit(), -1)
+				s.be.Speculate(&s.lu, &s.cf.a, s.sparseLimit(), -1)
 				s.priceMaintainedWindow()
+				// A full in-place refactorization, landing between Speculate
+				// and the next Collect: the LU storage, its row patterns and
+				// the factorization workspace are all recycled.
+				if err := s.refactorize(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			kernels()
 

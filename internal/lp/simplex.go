@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/interdc/postcard/internal/lp/backend"
 	"github.com/interdc/postcard/internal/lp/sparse"
@@ -21,22 +22,24 @@ const (
 
 // compForm is the computational form of a model: min c·x subject to
 // A·x = b, lo ≤ x ≤ hi, where A includes one logical (slack) column per row
-// appended after the n structural columns.
+// appended after the n structural columns. buildCompForm rebuilds one in
+// place, so a recycled compForm keeps every backing array.
 type compForm struct {
 	m, n int // rows, structural columns; A has n+m columns
-	a    *sparse.Matrix
+	a    sparse.Matrix
 	b    []float64
 	c    []float64 // minimization costs used for pivoting (perturbed)
 	c0   []float64 // original minimization costs, for objective reporting
 	lo   []float64
 	hi   []float64
+	trip []sparse.Triplet // assembly scratch for a
 }
 
 // perturb adds a deterministic pseudo-random tiny amount to every cost to
 // break the massive dual degeneracy of network LPs. The original costs are
 // kept in c0 for reporting.
 func (cf *compForm) perturb(scale float64) {
-	cf.c0 = append([]float64(nil), cf.c...)
+	cf.c0 = append(cf.c0[:0], cf.c...)
 	if scale <= 0 {
 		return
 	}
@@ -50,13 +53,14 @@ func (cf *compForm) perturb(scale float64) {
 	}
 }
 
-// buildCompForm converts the model into computational form. Maximization is
-// handled by negating costs; Solve flips the objective value back.
-func (m *Model) buildCompForm() (*compForm, error) {
+// buildCompForm converts the model into computational form, overwriting cf
+// and reusing its storage. Maximization is handled by negating costs; Solve
+// flips the objective value back.
+func (m *Model) buildCompForm(cf *compForm) error {
 	nRows, nCols := len(m.rows), len(m.obj)
 	for j := 0; j < nCols; j++ {
 		if m.lo[j] > m.hi[j] {
-			return nil, fmt.Errorf("lp: variable %s has empty domain [%g, %g]",
+			return fmt.Errorf("lp: variable %s has empty domain [%g, %g]",
 				m.VarName(VarID(j)), m.lo[j], m.hi[j])
 		}
 	}
@@ -64,15 +68,12 @@ func (m *Model) buildCompForm() (*compForm, error) {
 	for _, r := range m.rows {
 		nnz += len(r.idx)
 	}
-	trip := make([]sparse.Triplet, 0, nnz+nRows)
-	cf := &compForm{
-		m:  nRows,
-		n:  nCols,
-		b:  make([]float64, nRows),
-		c:  make([]float64, nCols+nRows),
-		lo: make([]float64, nCols+nRows),
-		hi: make([]float64, nCols+nRows),
-	}
+	trip := emptied(cf.trip, nnz+nRows)
+	cf.m, cf.n = nRows, nCols
+	cf.b = zeroed(cf.b, nRows)
+	cf.c = zeroed(cf.c, nCols+nRows)
+	cf.lo = zeroed(cf.lo, nCols+nRows)
+	cf.hi = zeroed(cf.hi, nCols+nRows)
 	copy(cf.lo, m.lo)
 	copy(cf.hi, m.hi)
 	for j, c := range m.obj {
@@ -98,12 +99,11 @@ func (m *Model) buildCompForm() (*compForm, error) {
 			cf.lo[lj], cf.hi[lj] = 0, 0
 		}
 	}
-	a, err := sparse.NewFromTriplets(nRows, nCols+nRows, trip)
-	if err != nil {
-		return nil, fmt.Errorf("lp: building constraint matrix: %w", err)
+	cf.trip = trip
+	if err := cf.a.SetTriplets(nRows, nCols+nRows, trip); err != nil {
+		return fmt.Errorf("lp: building constraint matrix: %w", err)
 	}
-	cf.a = a
-	return cf, nil
+	return nil
 }
 
 // eta is one product-form basis update. Its nonzero off-pivot rows live in
@@ -116,7 +116,9 @@ type eta struct {
 	pivot      float64
 }
 
-// simplex holds the mutable state of one revised-simplex solve.
+// simplex holds the mutable state of one revised-simplex solve. reset
+// reinitializes a recycled simplex for the next solve, keeping every
+// buffer, the LU factors and the pattern workspace.
 type simplex struct {
 	cf  *compForm
 	opt Options
@@ -125,8 +127,8 @@ type simplex struct {
 	vstat []vstatus // per variable
 	xB    []float64 // values of basic variables by row position
 
-	lu     *sparse.LU
-	at     *sparse.CSR // row-major mirror of cf.a for pivot-row assembly
+	lu     sparse.LU  // refactorized in place
+	at     sparse.CSR // row-major mirror of cf.a for pivot-row assembly
 	etas   []eta
 	etaIdx []int
 	etaVal []float64
@@ -173,6 +175,8 @@ type simplex struct {
 
 	ws sparse.PatternWorkspace
 
+	seen []bool // tryWarmStart's bijection check, length n+m
+
 	// compute backend for the hot kernels, plus the reusable scan input.
 	be   backend.Backend
 	scan backend.PriceInput
@@ -198,43 +202,54 @@ type simplex struct {
 	dRecomputes  int
 }
 
-// newSimplex allocates all solver state for the computational form. Every
-// buffer a steady-state iteration appends to is pre-sized here, so iterations
-// after warm-up perform no allocations (asserted by TestIterationAllocs).
-// The backend is owned by the caller, who must Close it after the solve.
-func newSimplex(cf *compForm, opt Options, be backend.Backend) *simplex {
-	total := cf.n + cf.m
-	s := &simplex{
+// reset prepares s for a solve of the computational form: every buffer is
+// resized and cleared (a recycled simplex starts in exactly the state of a
+// freshly allocated one), and every buffer a steady-state iteration appends
+// to is pre-sized, so iterations after warm-up perform no allocations
+// (asserted by TestSteadyStateIterationAllocs). Storage is reused from the
+// previous solve whenever it is large enough, so a re-solve of a model no
+// larger than the last one allocates nothing here. The backend is owned by
+// the caller, who must Close it after the solve.
+func (s *simplex) reset(cf *compForm, opt Options, be backend.Backend) {
+	m, total := cf.m, cf.n+cf.m
+	*s = simplex{
 		cf:         cf,
 		opt:        opt,
-		at:         cf.a.ToCSR(),
-		basis:      make([]int, cf.m),
-		vstat:      make([]vstatus, total),
-		xB:         make([]float64, cf.m),
-		w:          make([]float64, cf.m),
-		wIdx:       make([]int, 0, cf.m),
-		wMark:      make([]bool, cf.m),
-		y:          make([]float64, cf.m),
-		cB:         make([]float64, cf.m),
-		scratch:    make([]float64, cf.m),
-		rhs:        make([]float64, cf.m),
-		rho:        make([]float64, cf.m),
-		rhoIdx:     make([]int, 0, cf.m),
-		btv:        make([]float64, cf.m),
-		btvIdx:     make([]int, 0, cf.m),
-		btvMark:    make([]bool, cf.m),
-		posVal:     make([]float64, 0, cf.m),
-		alpha:      make([]float64, total),
-		alphaIdx:   make([]int, 0, total),
-		alphaMark:  make([]bool, total),
-		d:          make([]float64, total),
-		devexW:     make([]float64, total),
-		deltaIdx:   make([]int, 0, cf.m),
-		deltaVal:   make([]float64, 0, cf.m),
+		lu:         s.lu,
+		at:         s.at,
+		etas:       s.etas[:0],
+		etaIdx:     s.etaIdx[:0],
+		etaVal:     s.etaVal[:0],
+		basis:      zeroed(s.basis, m),
+		vstat:      zeroed(s.vstat, total),
+		xB:         zeroed(s.xB, m),
+		w:          zeroed(s.w, m),
+		wIdx:       emptied(s.wIdx, m),
+		wMark:      zeroed(s.wMark, m),
+		y:          zeroed(s.y, m),
+		cB:         zeroed(s.cB, m),
+		scratch:    zeroed(s.scratch, m),
+		rhs:        zeroed(s.rhs, m),
+		rho:        zeroed(s.rho, m),
+		rhoIdx:     emptied(s.rhoIdx, m),
+		btv:        zeroed(s.btv, m),
+		btvIdx:     emptied(s.btvIdx, m),
+		btvMark:    zeroed(s.btvMark, m),
+		posVal:     emptied(s.posVal, m),
+		alpha:      zeroed(s.alpha, total),
+		alphaIdx:   emptied(s.alphaIdx, total),
+		alphaMark:  zeroed(s.alphaMark, total),
+		d:          zeroed(s.d, total),
+		devexW:     zeroed(s.devexW, total),
+		deltaIdx:   emptied(s.deltaIdx, m),
+		deltaVal:   emptied(s.deltaVal, m),
+		ws:         s.ws,
+		seen:       s.seen,
 		be:         be,
 		useDevex:   opt.Pricing == PricingDevex,
 		devexStale: true, // weights start uninitialized
 	}
+	s.at.Mirror(&cf.a)
 	s.scan = backend.PriceInput{
 		D:     s.d,
 		W:     s.devexW,
@@ -243,7 +258,26 @@ func newSimplex(cf *compForm, opt Options, be backend.Backend) *simplex {
 		VStat: s.vstat,
 		Tol:   opt.OptTol,
 	}
-	return s
+}
+
+// zeroed returns buf with length n and every element zero, reusing its
+// backing array when the capacity suffices. A new array at least doubles
+// the old capacity (see emptied).
+func zeroed[T any](buf []T, n int) []T {
+	buf = emptied(buf, n)[:n]
+	clear(buf)
+	return buf
+}
+
+// emptied returns buf truncated to length zero with capacity at least n,
+// reusing its backing array when the capacity suffices. A new array at
+// least doubles the old capacity, so storage recycled across solves of
+// slowly growing models is reallocated only logarithmically often.
+func emptied[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, max(n, 2*cap(buf)))
+	}
+	return buf[:0]
 }
 
 // sparseLimit is the pattern-size cutoff for the hyper-sparse triangular
@@ -270,17 +304,18 @@ func (s *simplex) nbValue(j int) float64 {
 	}
 }
 
-// refactorize rebuilds the LU factorization of the current basis, applies
-// any singularity repairs to the basis bookkeeping, clears the eta file,
-// recomputes basic variable values from scratch, and invalidates the
+// refactorize rebuilds the LU factorization of the current basis in place,
+// applies any singularity repairs to the basis bookkeeping, clears the eta
+// file, recomputes basic variable values from scratch, and invalidates the
 // maintained reduced costs (which are defined against the dropped etas and
-// possibly-repaired basis).
+// possibly-repaired basis). Speculative backend solves still reading the
+// old factors are joined first.
 func (s *simplex) refactorize() error {
-	lu, err := sparse.FactorizeBasis(s.cf.a, s.basis, s.opt.PivotTol*1e-2)
-	if err != nil {
+	s.be.Join()
+	if err := s.lu.FactorizeBasis(&s.cf.a, s.basis, s.opt.PivotTol*1e-2); err != nil {
 		return fmt.Errorf("lp: basis factorization: %w", err)
 	}
-	for _, rep := range lu.Repairs() {
+	for _, rep := range s.lu.Repairs() {
 		evicted := s.basis[rep.Pos]
 		logical := s.cf.n + rep.Row
 		if evicted == logical {
@@ -299,13 +334,12 @@ func (s *simplex) refactorize() error {
 		s.vstat[logical] = vBasic
 		s.basis[rep.Pos] = logical
 	}
-	s.lu = lu
 	s.etas = s.etas[:0]
 	s.etaIdx = s.etaIdx[:0]
 	s.etaVal = s.etaVal[:0]
 	s.factorCount++
 	s.dValid = false
-	if len(lu.Repairs()) > 0 {
+	if len(s.lu.Repairs()) > 0 {
 		s.devexStale = true // repairs changed the basis discontinuously
 	}
 	s.computeXB()
@@ -365,7 +399,7 @@ func (s *simplex) noteSolve(ok bool, n int) {
 // on entry; callers restore that invariant with clearW.
 func (s *simplex) ftran(q int) {
 	var ok bool
-	if bx, bpat, bok, hit := s.be.Collect(q, s.lu); hit {
+	if bx, bpat, bok, hit := s.be.Collect(q, &s.lu); hit {
 		// The backend speculated this base solve against the exact same
 		// factorization; replaying it is bit-identical to solving afresh
 		// (the eta file is applied below at use time either way), and the
@@ -529,7 +563,7 @@ func (s *simplex) btranUnit(r int) {
 // per-column accumulation order and therefore the exact floating-point
 // values; only the alphaIdx ordering may differ, which no consumer reads).
 func (s *simplex) pivotRowAlpha() {
-	s.alphaIdx = s.be.PivotRow(s.at, s.rho, s.rhoIdx, s.alpha, s.alphaMark, s.alphaIdx[:0])
+	s.alphaIdx = s.be.PivotRow(&s.at, s.rho, s.rhoIdx, s.alpha, s.alphaMark, s.alphaIdx[:0])
 }
 
 func (s *simplex) clearAlpha() {
@@ -790,7 +824,7 @@ func (s *simplex) phase1DualDelta() {
 		return
 	}
 	s.btranSparse(s.deltaIdx, s.deltaVal)
-	s.be.DualDelta(s.at, s.rho, s.rhoIdx, s.d)
+	s.be.DualDelta(&s.at, s.rho, s.rhoIdx, s.d)
 	s.clearRho()
 }
 
@@ -1216,10 +1250,32 @@ func (m *Model) Solve(opts *Options) (*Solution, error) {
 	return m.solveDirect(opts)
 }
 
-// solveDirect runs the simplex on the model as-is.
+// solveWork is the storage of one solveDirect call: the computational
+// form with its constraint matrix, and the simplex with its CSR mirror,
+// buffers, LU factors and pattern workspace. It is recycled across solves
+// through workPool; nothing a caller receives aliases it, since solution
+// copies every value out.
+type solveWork struct {
+	cf compForm
+	s  simplex
+}
+
+var workPool = sync.Pool{New: func() any { return new(solveWork) }}
+
+// solveDirect runs the simplex on the model as-is, in a pooled workspace.
 func (m *Model) solveDirect(opts *Options) (*Solution, error) {
-	cf, err := m.buildCompForm()
-	if err != nil {
+	w := workPool.Get().(*solveWork)
+	sol, err := m.solveIn(w, opts)
+	// Error returns leave the workspace reusable; a panic skips the Put,
+	// so storage abandoned mid-update never reaches another solve.
+	workPool.Put(w)
+	return sol, err
+}
+
+// solveIn runs the simplex on the model in workspace w.
+func (m *Model) solveIn(w *solveWork, opts *Options) (*Solution, error) {
+	cf := &w.cf
+	if err := m.buildCompForm(cf); err != nil {
 		return nil, err
 	}
 	opt := opts.withDefaults(cf.m, cf.n)
@@ -1228,8 +1284,10 @@ func (m *Model) solveDirect(opts *Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Joins the backend's detached solves before w returns to the pool.
 	defer be.Close()
-	s := newSimplex(cf, opt, be)
+	s := &w.s
+	s.reset(cf, opt, be)
 	if opt.InitialBasis != nil && s.tryWarmStart(opt.InitialBasis) {
 		s.warmStarted = true
 	} else if err := s.coldStart(); err != nil {
@@ -1434,7 +1492,7 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 			// candidates; they overlap the ratio test and pivot below and are
 			// collected by the next iteration's ftran if one of the runners
 			// wins the next scan against the same factorization.
-			s.be.Speculate(s.lu, s.cf.a, s.sparseLimit(), q)
+			s.be.Speculate(&s.lu, &s.cf.a, s.sparseLimit(), q)
 			res := s.ratioTest(q, dir, false)
 			if res.unbound {
 				s.clearW()

@@ -18,8 +18,16 @@ type Repair struct {
 // its diagonal stored separately, and P is the row permutation chosen by
 // partial pivoting. Row indices of L and U are expressed in pivot-position
 // space once factorization completes.
+//
+// An LU owns its storage and keeps it: factorizing into an existing LU
+// (the Factorize and FactorizeBasis methods) overwrites the previous factors
+// in place, so a caller that refactorizes one LU repeatedly allocates
+// nothing once its buffers have reached their working size. Each
+// factorization advances the LU's generation (Gen), which lets holders of
+// results derived from one factorization tell stale ones from current ones.
 type LU struct {
-	n int
+	n   int
+	gen uint64
 
 	lColPtr []int
 	lRow    []int
@@ -45,13 +53,27 @@ type LU struct {
 	perm []int // pivot position -> original row
 
 	repairs []Repair
+
+	// Factorization workspace. x and mark are all-zero over their whole
+	// backing arrays between calls; cursor, topo and stack carry no state.
+	x      []float64 // dense numeric workspace
+	mark   []bool    // DFS visited flags
+	cursor []int     // per-node edge cursor for the iterative DFS
+	topo   []int     // post-order node list (reverse = topological)
+	stack  []int     // explicit DFS stack
 }
 
 // N reports the dimension of the factorized matrix.
 func (f *LU) N() int { return f.n }
 
+// Gen reports the generation of the current factorization: the number of
+// factorizations f has started. A result computed against f at generation
+// g is current exactly while Gen() == g.
+func (f *LU) Gen() uint64 { return f.gen }
+
 // Repairs reports the basis repairs performed, in factorization order. An
-// empty slice means the matrix was numerically nonsingular.
+// empty slice means the matrix was numerically nonsingular. The slice is
+// overwritten by the next factorization.
 func (f *LU) Repairs() []Repair { return f.repairs }
 
 // LNNZ reports the number of stored off-diagonal entries of L.
@@ -60,52 +82,63 @@ func (f *LU) LNNZ() int { return len(f.lRow) }
 // UNNZ reports the number of stored entries of U including the diagonal.
 func (f *LU) UNNZ() int { return len(f.uRow) + f.n }
 
-// Factorize computes a sparse LU factorization of the n x n matrix whose
-// k-th column is returned by column (as parallel row-index and value
-// slices, which Factorize does not retain). Partial pivoting selects the
-// largest-magnitude eligible entry; a column whose largest eligible entry
-// is below pivTol is treated as singular and repaired by substituting a
-// unit column (see Repair). Factorize follows the left-looking
-// Gilbert-Peierls algorithm: each column is obtained by a sparse triangular
-// solve against the already-computed columns of L, with the nonzero pattern
-// predicted by a depth-first reachability pass.
+// Factorize computes a sparse LU factorization into a new LU; see
+// (*LU).Factorize.
 func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*LU, error) {
+	f := new(LU)
+	if err := f.Factorize(n, column, pivTol); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factorize overwrites f with a sparse LU factorization of the n x n matrix
+// whose k-th column is returned by column (as parallel row-index and value
+// slices, which Factorize does not retain), reusing f's storage. Partial
+// pivoting selects the largest-magnitude eligible entry; a column whose
+// largest eligible entry is below pivTol is treated as singular and repaired
+// by substituting a unit column (see Repair). Factorize follows the
+// left-looking Gilbert-Peierls algorithm: each column is obtained by a
+// sparse triangular solve against the already-computed columns of L, with
+// the nonzero pattern predicted by a depth-first reachability pass.
+//
+// The previous factors are invalid from the moment Factorize starts, so no
+// solve may run against f concurrently with it. On error f holds no usable
+// factorization until the next successful call.
+func (f *LU) Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) error {
 	if n < 0 {
-		return nil, fmt.Errorf("sparse: negative dimension %d", n)
+		return fmt.Errorf("sparse: negative dimension %d", n)
 	}
 	if pivTol <= 0 {
 		pivTol = 1e-11
 	}
-	f := &LU{
-		n:       n,
-		lColPtr: make([]int, 1, n+1),
-		uColPtr: make([]int, 1, n+1),
-		uDiag:   make([]float64, 0, n),
-		pinv:    make([]int, n),
-		perm:    make([]int, n),
-	}
+	f.n = n
+	f.gen++
+	f.lColPtr = append(f.lColPtr[:0], 0)
+	f.lRow, f.lVal = f.lRow[:0], f.lVal[:0]
+	f.uColPtr = append(f.uColPtr[:0], 0)
+	f.uRow, f.uVal, f.uDiag = f.uRow[:0], f.uVal[:0], f.uDiag[:0]
+	f.repairs = f.repairs[:0]
+	f.pinv, f.perm = resize(f.pinv, n), resize(f.perm, n)
 	for i := range f.pinv {
 		f.pinv[i] = -1
 		f.perm[i] = -1
 	}
-
-	x := make([]float64, n)     // dense numeric workspace, reset after each column
-	mark := make([]bool, n)     // DFS visited flags, reset after each column
-	topo := make([]int, 0, 64)  // post-order node list (reverse = topological)
-	stack := make([]int, 0, 64) // explicit DFS stack: node
-	cursor := make([]int, n)    // per-node edge cursor for iterative DFS
-	freeRowScan := 0            // cursor for locating unpivoted rows on repair
+	f.x, f.mark, f.cursor = resize(f.x, n), resize(f.mark, n), resize(f.cursor, n)
+	x, mark, cursor := f.x, f.mark, f.cursor
+	topo, stack := f.topo[:0], f.stack[:0]
+	freeRowScan := 0 // cursor for locating unpivoted rows on repair
 
 	for k := 0; k < n; k++ {
 		rows, vals := column(k)
 		if len(rows) != len(vals) {
-			return nil, fmt.Errorf("sparse: column %d has mismatched slices (%d rows, %d vals)", k, len(rows), len(vals))
+			return f.fail(fmt.Errorf("sparse: column %d has mismatched slices (%d rows, %d vals)", k, len(rows), len(vals)))
 		}
 		// Symbolic: reachability of the column pattern through L's DAG.
 		topo = topo[:0]
 		for _, r := range rows {
 			if r < 0 || r >= n {
-				return nil, fmt.Errorf("sparse: column %d row index %d out of range", k, r)
+				return f.fail(fmt.Errorf("sparse: column %d row index %d out of range", k, r))
 			}
 			if mark[r] {
 				continue
@@ -173,7 +206,7 @@ func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*L
 				freeRowScan++
 			}
 			if freeRowScan >= n {
-				return nil, fmt.Errorf("sparse: no unpivoted row available for repair at column %d", k)
+				return f.fail(fmt.Errorf("sparse: no unpivoted row available for repair at column %d", k))
 			}
 			r := freeRowScan
 			f.pinv[r] = k
@@ -213,61 +246,80 @@ func Factorize(n int, column func(k int) ([]int, []float64), pivTol float64) (*L
 	for p, r := range f.lRow {
 		f.lRow[p] = f.pinv[r]
 	}
-	f.buildRowPatterns()
-	return f, nil
+	f.lRowPtr, f.lRowCol = transposePattern(n, f.lColPtr, f.lRow, f.lRowPtr, f.lRowCol)
+	f.uRowPtr, f.uRowCol = transposePattern(n, f.uColPtr, f.uRow, f.uRowPtr, f.uRowCol)
+	f.topo, f.stack = topo, stack
+	return nil
 }
 
-// buildRowPatterns assembles the row-major patterns of L and U (in pivot
-// space) that the transposed sparse solves traverse.
-func (f *LU) buildRowPatterns() {
-	f.lRowPtr, f.lRowCol = transposePattern(f.n, f.lColPtr, f.lRow)
-	f.uRowPtr, f.uRowCol = transposePattern(f.n, f.uColPtr, f.uRow)
+// fail restores the workspace invariant, which an error can leave broken
+// mid-column, and passes err through.
+func (f *LU) fail(err error) error {
+	clear(f.x)
+	clear(f.mark)
+	return err
 }
 
-// transposePattern converts a CSC pattern into the corresponding CSR
-// pattern: for each row r, the list of columns k whose column contains r.
-// Column lists come out sorted ascending.
-func transposePattern(n int, colPtr, rowIdx []int) (rowPtr, rowCol []int) {
-	rowPtr = make([]int, n+1)
+// transposePattern writes the CSR pattern of an n x n CSC pattern into the
+// retained rowPtr/rowCol storage and returns the resized slices: for each
+// row r, the list of columns k whose column contains r. Column lists come
+// out sorted ascending.
+func transposePattern(n int, colPtr, rowIdx, rowPtr, rowCol []int) ([]int, []int) {
+	rowPtr = resize(rowPtr, n+1)
+	clear(rowPtr)
 	for _, r := range rowIdx {
 		rowPtr[r+1]++
 	}
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	rowCol = make([]int, len(rowIdx))
-	next := make([]int, n)
-	copy(next, rowPtr[:n])
+	rowCol = resize(rowCol, len(rowIdx))
+	// Scatter with rowPtr[r] as row r's fill cursor; afterwards rowPtr[r]
+	// holds row r's end, which the shift below turns back into its start.
 	for k := 0; k < n; k++ {
 		for c := colPtr[k]; c < colPtr[k+1]; c++ {
 			r := rowIdx[c]
-			rowCol[next[r]] = k
-			next[r]++
+			rowCol[rowPtr[r]] = k
+			rowPtr[r]++
 		}
 	}
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
 	return rowPtr, rowCol
 }
 
-// FactorizeBasis factorizes the square basis matrix whose k-th column is
-// column basis[k] of a. It is the entry point the revised simplex uses both
-// for cold refactorizations and for factorizing a caller-supplied warm
-// basis: the column order is exactly the basis order, so pivot-position
-// bookkeeping in the returned LU matches the simplex's row positions. Each
-// basis entry must index a column of a; a's row count must equal
-// len(basis).
-func FactorizeBasis(a *Matrix, basis []int, pivTol float64) (*LU, error) {
+// FactorizeBasis overwrites f with the factorization of the square basis
+// matrix whose k-th column is column basis[k] of a, reusing f's storage. It
+// is the entry point the revised simplex uses both for cold
+// refactorizations and for factorizing a caller-supplied warm basis: the
+// column order is exactly the basis order, so pivot-position bookkeeping in
+// f matches the simplex's row positions. Each basis entry must index a
+// column of a; a's row count must equal len(basis).
+func (f *LU) FactorizeBasis(a *Matrix, basis []int, pivTol float64) error {
 	if a.Rows != len(basis) {
-		return nil, fmt.Errorf("sparse: basis of %d columns for a matrix with %d rows", len(basis), a.Rows)
+		return fmt.Errorf("sparse: basis of %d columns for a matrix with %d rows", len(basis), a.Rows)
 	}
 	for k, j := range basis {
 		if j < 0 || j >= a.Cols {
-			return nil, fmt.Errorf("sparse: basis position %d references column %d of a %dx%d matrix",
+			return fmt.Errorf("sparse: basis position %d references column %d of a %dx%d matrix",
 				k, j, a.Rows, a.Cols)
 		}
 	}
-	return Factorize(len(basis), func(k int) ([]int, []float64) {
+	return f.Factorize(len(basis), func(k int) ([]int, []float64) {
 		return a.ColumnSlices(basis[k])
 	}, pivTol)
+}
+
+// resize returns buf with length n, reusing its backing array when the
+// capacity suffices. Elements are not cleared: callers either overwrite
+// them or rely on an all-zero invariant over the whole backing array. A
+// new array at least doubles the old capacity, so storage recycled across
+// solves of slowly growing models is reallocated only logarithmically often.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
 }
 
 func clearWorkspace(x []float64, mark []bool, pattern []int) {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -264,8 +265,8 @@ func TestFactorizeBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := FactorizeBasis(a, []int{2, 0}, 0)
-	if err != nil {
+	var lu LU
+	if err := lu.FactorizeBasis(a, []int{2, 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// B = [[0, 2], [3, 1]]; solve B x = [2, 4] -> x = [10/9... ] check via residual.
@@ -278,10 +279,127 @@ func TestFactorizeBasis(t *testing.T) {
 	if r1 := 3*x[0] + 1*x[1] - 4; r1 > 1e-12 || r1 < -1e-12 {
 		t.Errorf("residual row 1 = %v", r1)
 	}
-	if _, err := FactorizeBasis(a, []int{0}, 0); err == nil {
+	if err := lu.FactorizeBasis(a, []int{0}, 0); err == nil {
 		t.Error("expected error for basis/row-count mismatch")
 	}
-	if _, err := FactorizeBasis(a, []int{0, 5}, 0); err == nil {
+	if err := lu.FactorizeBasis(a, []int{0, 5}, 0); err == nil {
 		t.Error("expected error for out-of-range basis column")
+	}
+}
+
+// TestLURefactorInPlace pins the recycling contract of (*LU).Factorize: one
+// LU refactorized through matrices of varying size — among them singular
+// ones that need repairs, each sometimes after a malformed column failed
+// midway through the previous call — must hold after every call exactly the
+// factors a fresh LU gets for the same matrix, under a new generation. One
+// pattern workspace serves every size, so its reslicing is covered too.
+func TestLURefactorInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var f LU
+	var ws, wsFresh PatternWorkspace
+	var lastGen uint64
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(40)
+		m := randomNonsingular(rng, n, 0.2)
+		col := columnsOf(m)
+		if trial%3 == 1 {
+			// The last column duplicates the first: singular, repaired.
+			col = func(k int) ([]int, []float64) {
+				if k == n-1 {
+					return m.ColumnSlices(0)
+				}
+				return m.ColumnSlices(k)
+			}
+		}
+		if trial%4 == 2 {
+			// Fails in the DFS of the last column, after marking.
+			bad := func(k int) ([]int, []float64) {
+				if k == n-1 {
+					return []int{0, n}, []float64{1, 1}
+				}
+				return col(k)
+			}
+			if err := f.Factorize(n, bad, 1e-12); err == nil {
+				t.Fatalf("trial %d: out-of-range row accepted", trial)
+			}
+		}
+		if err := f.Factorize(n, col, 1e-12); err != nil {
+			t.Fatalf("trial %d: Factorize: %v", trial, err)
+		}
+		fresh, err := Factorize(n, col, 1e-12)
+		if err != nil {
+			t.Fatalf("trial %d: fresh Factorize: %v", trial, err)
+		}
+		if f.Gen() <= lastGen {
+			t.Fatalf("trial %d: generation %d not past %d", trial, f.Gen(), lastGen)
+		}
+		lastGen = f.Gen()
+		if (trial%3 == 1) != (len(f.Repairs()) > 0) {
+			t.Fatalf("trial %d: repairs %v", trial, f.Repairs())
+		}
+		for name, pair := range map[string][2][]int{
+			"lColPtr": {f.lColPtr, fresh.lColPtr}, "lRow": {f.lRow, fresh.lRow},
+			"uColPtr": {f.uColPtr, fresh.uColPtr}, "uRow": {f.uRow, fresh.uRow},
+			"lRowPtr": {f.lRowPtr, fresh.lRowPtr}, "lRowCol": {f.lRowCol, fresh.lRowCol},
+			"uRowPtr": {f.uRowPtr, fresh.uRowPtr}, "uRowCol": {f.uRowCol, fresh.uRowCol},
+			"pinv": {f.pinv, fresh.pinv}, "perm": {f.perm, fresh.perm},
+		} {
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("trial %d: recycled %s %v, fresh %v", trial, name, pair[0], pair[1])
+			}
+		}
+		if !slices.Equal(f.lVal, fresh.lVal) || !slices.Equal(f.uVal, fresh.uVal) ||
+			!slices.Equal(f.uDiag, fresh.uDiag) || !slices.Equal(f.repairs, fresh.repairs) {
+			t.Fatalf("trial %d: recycled factor values differ from fresh", trial)
+		}
+		// A sparse solve through the shared, resliced workspace matches one
+		// through a fresh-sized workspace bit for bit.
+		idx, val := []int{rng.Intn(n)}, []float64{1}
+		got, want := make([]float64, n), make([]float64, n)
+		f.SolveSparseRHS(idx, val, got, &ws, n)
+		fresh.SolveSparseRHS(idx, val, want, &wsFresh, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: recycled solve %v, fresh %v", trial, got, want)
+		}
+		wsFresh = PatternWorkspace{}
+	}
+}
+
+// TestSetTripletsAndMirrorRecycle pins in-place rebuilds of a Matrix and its
+// CSR mirror: rebuilding one pair through matrices of varying shape must
+// give exactly what fresh assembly gives.
+func TestSetTripletsAndMirrorRecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var m Matrix
+	var c CSR
+	for trial := 0; trial < 30; trial++ {
+		rows, cols := 1+rng.Intn(25), 1+rng.Intn(25)
+		var trip []Triplet
+		for k := rng.Intn(rows * cols); k > 0; k-- {
+			trip = append(trip, Triplet{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: rng.NormFloat64()})
+		}
+		if err := m.SetTriplets(rows, cols, trip); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewFromTriplets(rows, cols, trip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Rows != want.Rows || m.Cols != want.Cols || !slices.Equal(m.ColPtr, want.ColPtr) ||
+			!slices.Equal(m.RowIdx, want.RowIdx) || !slices.Equal(m.Val, want.Val) {
+			t.Fatalf("trial %d: recycled matrix differs from fresh", trial)
+		}
+		c.Mirror(&m)
+		for i := 0; i < rows; i++ {
+			idx, val := c.RowSlices(i)
+			for p, j := range idx {
+				if m.At(i, j) != val[p] || (p > 0 && idx[p-1] >= j) {
+					t.Fatalf("trial %d: mirror row %d entry %d = (%d, %v)", trial, i, p, j, val[p])
+				}
+			}
+		}
+		if len(c.ColIdx) != m.NNZ() || c.Rows != rows || c.Cols != cols {
+			t.Fatalf("trial %d: mirror holds %d entries of %d", trial, len(c.ColIdx), m.NNZ())
+		}
 	}
 }

@@ -11,9 +11,11 @@ import (
 	"sort"
 )
 
-// Matrix is an immutable sparse matrix in compressed sparse-column (CSC)
-// form. Column j occupies positions ColPtr[j]..ColPtr[j+1] of RowIdx and
-// Val. Row indices within a column are sorted ascending with no duplicates.
+// Matrix is a sparse matrix in compressed sparse-column (CSC) form. Column
+// j occupies positions ColPtr[j]..ColPtr[j+1] of RowIdx and Val. Row
+// indices within a column are sorted ascending with no duplicates. Users
+// treat a Matrix as immutable; its owner may rebuild it in place with
+// SetTriplets, which reuses the storage.
 type Matrix struct {
 	Rows   int
 	Cols   int
@@ -29,44 +31,59 @@ type Triplet struct {
 	Val float64
 }
 
-// NewFromTriplets assembles a rows x cols CSC matrix from coordinate-form
-// entries. Duplicate entries are summed; explicit zeros are kept (callers
-// that care can prune). It returns an error when an index is out of range.
+// NewFromTriplets assembles a new rows x cols CSC matrix from
+// coordinate-form entries; see SetTriplets.
 func NewFromTriplets(rows, cols int, entries []Triplet) (*Matrix, error) {
+	m := new(Matrix)
+	if err := m.SetTriplets(rows, cols, entries); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// SetTriplets overwrites m with the rows x cols CSC matrix assembled from
+// coordinate-form entries, reusing m's storage. Duplicate entries are
+// summed; explicit zeros are kept (callers that care can prune). It returns
+// an error, leaving m unchanged, when an index is out of range.
+func (m *Matrix) SetTriplets(rows, cols int, entries []Triplet) error {
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
-			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of range for %dx%d matrix",
+			return fmt.Errorf("sparse: triplet (%d,%d) out of range for %dx%d matrix",
 				e.Row, e.Col, rows, cols)
 		}
 	}
-	// Count column occupancies.
-	counts := make([]int, cols+1)
+	m.Rows, m.Cols = rows, cols
+	// Count column occupancies into ColPtr[j+1] and turn them into starts.
+	colPtr := resize(m.ColPtr, cols+1)
+	clear(colPtr)
 	for _, e := range entries {
-		counts[e.Col+1]++
+		colPtr[e.Col+1]++
 	}
-	colPtr := make([]int, cols+1)
 	for j := 0; j < cols; j++ {
-		colPtr[j+1] = colPtr[j] + counts[j+1]
+		colPtr[j+1] += colPtr[j]
 	}
-	rowIdx := make([]int, len(entries))
-	val := make([]float64, len(entries))
-	next := make([]int, cols)
-	copy(next, colPtr[:cols])
+	rowIdx := resize(m.RowIdx, len(entries))
+	val := resize(m.Val, len(entries))
+	// Stable scatter with ColPtr[j] as column j's fill cursor; afterwards
+	// ColPtr[j] holds column j's end, which the shift turns back into its
+	// start.
 	for _, e := range entries {
-		p := next[e.Col]
+		p := colPtr[e.Col]
 		rowIdx[p] = e.Row
 		val[p] = e.Val
-		next[e.Col]++
+		colPtr[e.Col]++
 	}
-	m := &Matrix{Rows: rows, Cols: cols, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+	copy(colPtr[1:], colPtr[:cols])
+	colPtr[0] = 0
+	m.ColPtr, m.RowIdx, m.Val = colPtr, rowIdx, val
 	m.sortAndDedup()
-	return m, nil
+	return nil
 }
 
 // sortAndDedup sorts row indices within each column and merges duplicates.
 // Columns that are already strictly increasing — the common case when the
 // triplets came from a row-major sweep of deduplicated rows, since the
-// counting scatter in NewFromTriplets is stable — need neither sorting nor
+// counting scatter in SetTriplets is stable — need neither sorting nor
 // merging, so a fully sorted matrix returns after one O(nnz) scan without
 // allocating.
 func (m *Matrix) sortAndDedup() {
@@ -83,7 +100,6 @@ scan:
 	if sorted {
 		return
 	}
-	outPtr := make([]int, m.Cols+1)
 	outIdx := m.RowIdx[:0]
 	outVal := m.Val[:0]
 	type ent struct {
@@ -99,7 +115,7 @@ scan:
 			scratch = append(scratch, ent{m.RowIdx[p], m.Val[p]})
 		}
 		sort.Slice(scratch, func(a, b int) bool { return scratch[a].row < scratch[b].row })
-		outPtr[j] = writePos
+		m.ColPtr[j] = writePos // in place: entry j+1 is still unread
 		for i := 0; i < len(scratch); {
 			row := scratch[i].row
 			sum := 0.0
@@ -112,8 +128,7 @@ scan:
 			writePos++
 		}
 	}
-	outPtr[m.Cols] = writePos
-	m.ColPtr = outPtr
+	m.ColPtr[m.Cols] = writePos
 	m.RowIdx = outIdx[:writePos]
 	m.Val = outVal[:writePos]
 }
@@ -177,8 +192,7 @@ func (m *Matrix) MulTVec(x, y []float64) {
 	}
 }
 
-// CSR is an immutable row-major (compressed sparse-row) mirror of a
-// Matrix. Row i occupies positions RowPtr[i]..RowPtr[i+1] of ColIdx and
+// CSR is a row-major (compressed sparse-row) mirror of a Matrix. Row i occupies positions RowPtr[i]..RowPtr[i+1] of ColIdx and
 // Val, with column indices sorted ascending. The revised simplex keeps a
 // CSR mirror of the constraint matrix alongside the CSC original so the
 // pivot row of B⁻¹A can be assembled by walking only the rows touched by a
@@ -191,35 +205,34 @@ type CSR struct {
 	Val    []float64 // length nnz
 }
 
-// ToCSR builds the row-major mirror of the matrix. The result shares no
-// storage with the receiver.
-func (m *Matrix) ToCSR() *CSR {
-	c := &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]int, m.Rows+1),
-		ColIdx: make([]int, len(m.RowIdx)),
-		Val:    make([]float64, len(m.Val)),
-	}
+// Mirror overwrites c with the row-major mirror of m, reusing c's
+// storage. The result shares no storage with m.
+func (c *CSR) Mirror(m *Matrix) {
+	c.Rows, c.Cols = m.Rows, m.Cols
+	rowPtr := resize(c.RowPtr, m.Rows+1)
+	clear(rowPtr)
+	colIdx := resize(c.ColIdx, len(m.RowIdx))
+	val := resize(c.Val, len(m.Val))
 	for _, i := range m.RowIdx {
-		c.RowPtr[i+1]++
+		rowPtr[i+1]++
 	}
 	for i := 0; i < m.Rows; i++ {
-		c.RowPtr[i+1] += c.RowPtr[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
-	next := make([]int, m.Rows)
-	copy(next, c.RowPtr[:m.Rows])
 	// Scanning columns in ascending order leaves each row's column indices
-	// sorted ascending.
+	// sorted ascending. RowPtr[i] serves as row i's fill cursor and is
+	// shifted back to the row start afterwards.
 	for j := 0; j < m.Cols; j++ {
 		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
 			i := m.RowIdx[p]
-			c.ColIdx[next[i]] = j
-			c.Val[next[i]] = m.Val[p]
-			next[i]++
+			colIdx[rowPtr[i]] = j
+			val[rowPtr[i]] = m.Val[p]
+			rowPtr[i]++
 		}
 	}
-	return c
+	copy(rowPtr[1:], rowPtr[:m.Rows])
+	rowPtr[0] = 0
+	c.RowPtr, c.ColIdx, c.Val = rowPtr, colIdx, val
 }
 
 // RowSlices returns the column-index and value slices of row i. The

@@ -31,25 +31,34 @@ type PatternWorkspace struct {
 // Ensure sizes the workspace for dimension-n solves. The float64 and int
 // scratch each live in one contiguous slab carved into fixed-capacity
 // sub-slices (three-index slicing pins every capacity, so append never
-// crosses a neighbor): two cache-adjacent n-vectors for the numeric
-// substitutions, six for the pattern walk. Each sub-slice has capacity
-// exactly n — the DFS visits each node at most once per phase, so none of
-// the appends can outgrow its segment.
+// crosses a neighbor): two cache-adjacent vectors for the numeric
+// substitutions, six for the pattern walk. Each sub-slice has capacity at
+// least n — the DFS visits each node at most once per phase, so none of
+// the appends can outgrow its segment. A workspace sized for a larger
+// dimension is resliced rather than reallocated (the all-zero invariant
+// covers its whole backing, so the reslice exposes only clean entries),
+// and a regrown one at least doubles its segments.
 func (ws *PatternWorkspace) Ensure(n int) {
-	if len(ws.x) >= n {
+	if len(ws.x) == n {
 		return
 	}
-	fs := make([]float64, 2*n)
-	ws.x = fs[0*n : 1*n : 1*n]
-	ws.b = fs[1*n : 2*n : 2*n]
-	is := make([]int, 6*n)
-	ws.cursor = is[0*n : 1*n : 1*n]
-	ws.stack = is[1*n : 1*n : 2*n]
-	ws.topo = is[2*n : 2*n : 3*n]
-	ws.topo2 = is[3*n : 3*n : 4*n]
-	ws.seed = is[4*n : 4*n : 5*n]
-	ws.pat = is[5*n : 5*n : 6*n]
-	ws.mark = make([]bool, n)
+	if cap(ws.x) >= n {
+		ws.x, ws.b = ws.x[:n], ws.b[:n]
+		ws.cursor, ws.mark = ws.cursor[:n], ws.mark[:n]
+		return
+	}
+	c := max(n, 2*cap(ws.x)) // segment capacity
+	fs := make([]float64, 2*c)
+	ws.x = fs[0*c : 0*c+n : 1*c]
+	ws.b = fs[1*c : 1*c+n : 2*c]
+	is := make([]int, 6*c)
+	ws.cursor = is[0*c : 0*c+n : 1*c]
+	ws.stack = is[1*c : 1*c : 2*c]
+	ws.topo = is[2*c : 2*c : 3*c]
+	ws.topo2 = is[3*c : 3*c : 4*c]
+	ws.seed = is[4*c : 4*c : 5*c]
+	ws.pat = is[5*c : 5*c : 6*c]
+	ws.mark = make([]bool, n, c)
 }
 
 // reach appends to topo the post-order of every node reachable from seeds

@@ -31,6 +31,13 @@
 #                          only). postcard-path-lazy-rows and
 #                          postcard-path-path-fallbacks gate the lazy
 #                          master; the two cost/slot series must agree.
+#   BenchmarkRefactorize   one in-place LU refactorization of an optimal
+#   BenchmarkWarmResolve   basis, and one warm re-solve from it, on a
+#                          110-node min-cost-flow LP (internal/lp). B/op
+#                          is the allocation per refactorization (zero: the
+#                          LU storage is recycled) and per re-solve (its
+#                          Solution output only). They run once, before
+#                          any per-backend suite, on the default backend.
 #
 # With -backends the whole suite runs once per LP compute backend (PR 10:
 # "serial" is the bit-identical default, "parallel" fans devex pricing and
@@ -74,6 +81,9 @@ run_suite() {
     -bench '^(BenchmarkFig4|BenchmarkFig4WarmStart|BenchmarkFig5|BenchmarkFig7|BenchmarkPostcardSolve|BenchmarkPoissonAdmission|BenchmarkFig4DC16|BenchmarkFig4DC64|BenchmarkFig4DC128)$' \
     -benchmem -count "$count" . | tee -a "$raw"
 }
+
+go test -run '^$' -bench '^(BenchmarkRefactorize|BenchmarkWarmResolve)$' \
+  -benchmem -count "$count" ./internal/lp | tee -a "$raw"
 
 if [ -z "$backends" ]; then
   run_suite
