@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/interdc/postcard/internal/lp/backend"
 )
 
 // solveWithPricing solves m under the given pricing rule, failing the test
@@ -176,85 +174,51 @@ func TestDevexReportsSparseCounters(t *testing.T) {
 // is the property that keeps large time-expanded solves out of the
 // allocator; a regression here shows up as GC pressure long before it
 // shows up as wrong answers.
-// It holds for every backend: the parallel pool preallocates all dispatch
-// state and per-slot speculation buffers, so fanning out must be as
-// allocation-free as the serial loops at any worker count.
 func TestSteadyStateIterationAllocs(t *testing.T) {
-	cases := []struct {
-		name    string
-		backend string
-		workers int
-		large   bool
-	}{
-		{"serial", backend.NameSerial, 1, false},
-		{"parallel-w1", backend.NameParallel, 1, false},
-		{"parallel-w2", backend.NameParallel, 2, false},
-		{"parallel-w4", backend.NameParallel, 4, false},
-		{"parallel-w8", backend.NameParallel, 8, false},
-		// Above the fan-out threshold the kernels dispatch to the worker
-		// pool; the fanned paths must be as allocation-free as the serial
-		// branches.
-		{"parallel-w4-large", backend.NameParallel, 4, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(12))
-			m := randomFlowModel(rng)
-			if tc.large {
-				m = largeFlowModel(rng)
-			}
-			var cf compForm
-			if err := m.buildCompForm(&cf); err != nil {
-				t.Fatal(err)
-			}
-			// A huge refactorization interval keeps the eta file growing
-			// instead of periodically resetting, exercising the pooled eta
-			// storage; the pool reaches its high-water mark during the
-			// warm-up solve.
-			opt := (&Options{
-				RefactorEvery:  1 << 20,
-				Backend:        tc.backend,
-				BackendWorkers: tc.workers,
-			}).withDefaults(cf.m, cf.n)
-			cf.perturb(opt.Perturb)
-			be, err := backend.New(opt.Backend, opt.BackendWorkers, cf.m, cf.n+cf.m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer be.Close()
-			var s simplex
-			s.reset(&cf, opt, be)
-			if err := s.coldStart(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.run(); err != nil {
-				t.Fatal(err)
-			}
+	// The subtest names the kernel set measured: the serial simplex
+	// kernels, the only ones the solver has.
+	t.Run("serial", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		m := randomFlowModel(rng)
+		var cf compForm
+		if err := m.buildCompForm(&cf); err != nil {
+			t.Fatal(err)
+		}
+		// A huge refactorization interval keeps the eta file growing instead
+		// of periodically resetting, exercising the pooled eta storage; the
+		// pool reaches its high-water mark during the warm-up solve.
+		opt := (&Options{RefactorEvery: 1 << 20}).withDefaults(cf.m, cf.n)
+		cf.perturb(opt.Perturb)
+		var s simplex
+		s.reset(&cf, opt)
+		if err := s.coldStart(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.run(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Warm every kernel once so lazily grown workspace buffers reach
-			// their steady-state sizes before measuring.
-			kernels := func() {
-				s.ftran(0)
-				s.clearW()
-				s.btranUnit(0)
-				s.pivotRowAlpha()
-				s.clearAlpha()
-				s.clearRho()
-				s.priceDevex()
-				s.be.Speculate(&s.lu, &s.cf.a, s.sparseLimit(), -1)
-				s.priceMaintainedWindow()
-				// A full in-place refactorization, landing between Speculate
-				// and the next Collect: the LU storage, its row patterns and
-				// the factorization workspace are all recycled.
-				if err := s.refactorize(); err != nil {
-					t.Fatal(err)
-				}
+		// Warm every kernel once so lazily grown workspace buffers reach their
+		// steady-state sizes before measuring.
+		kernels := func() {
+			s.ftran(0)
+			s.clearW()
+			s.btranUnit(0)
+			s.pivotRowAlpha()
+			s.clearAlpha()
+			s.clearRho()
+			s.priceDevex()
+			s.priceMaintainedWindow()
+			// A full in-place refactorization: the LU storage, its row
+			// patterns and the factorization workspace are all recycled.
+			if err := s.refactorize(); err != nil {
+				t.Fatal(err)
 			}
-			kernels()
+		}
+		kernels()
 
-			if allocs := testing.AllocsPerRun(200, kernels); allocs != 0 {
-				t.Fatalf("steady-state iteration kernels allocate %.1f times per run, want 0", allocs)
-			}
-		})
-	}
+		if allocs := testing.AllocsPerRun(200, kernels); allocs != 0 {
+			t.Fatalf("steady-state iteration kernels allocate %.1f times per run, want 0", allocs)
+		}
+	})
 }

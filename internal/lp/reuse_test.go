@@ -5,42 +5,44 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"github.com/interdc/postcard/internal/lp/backend"
 )
 
-// TestInPlaceRefactorParallelBitIdentity pins the parallel backend's
-// speculation contract under in-place refactorization. With RefactorEvery
-// 2 a refactorization lands between nearly every Speculate and the next
-// Collect, so the LU that a speculative batch was computed against is
-// overwritten while the batch is outstanding (and, with more than one
-// worker, possibly still running). The simplex must join the batch before
-// refactorizing and Collect must reject results of a retired generation;
-// a backend that keyed speculation on the LU pointer alone would serve
-// stale base solves here (a mismatch) or race the refactorization (caught
-// under -race).
-func TestInPlaceRefactorParallelBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	solve := func(m *Model, name string, workers int) *Solution {
-		t.Helper()
-		sol, err := m.Solve(&Options{Backend: name, BackendWorkers: workers, RefactorEvery: 2})
-		if err != nil {
-			t.Fatalf("Solve(backend=%s, workers=%d): %v", name, workers, err)
-		}
-		return sol
+// assertBitIdentical asserts that two solves of the same model followed the
+// exact same pivot trajectory: identical status, iteration counts, solve
+// counters, and bit-for-bit equal primal/dual vectors.
+func assertBitIdentical(t *testing.T, label string, a, b *Solution) {
+	t.Helper()
+	if a.Status != b.Status {
+		t.Fatalf("%s: status %v vs %v", label, a.Status, b.Status)
 	}
-	specs := 0
-	for trial := 0; trial < 25; trial++ {
-		m := randomFlowModel(rng)
-		ref := solve(m, backend.NameSerial, 1)
-		for _, w := range []int{1, 2, 4} {
-			got := solve(m, backend.NameParallel, w)
-			assertBitIdentical(t, "in-place refactor: serial vs parallel", ref, got)
-			specs += got.SpecFtrans
+	if a.Objective != b.Objective {
+		t.Fatalf("%s: objective %v vs %v (not bit-identical)", label, a.Objective, b.Objective)
+	}
+	if a.Iterations != b.Iterations || a.Phase1Iter != b.Phase1Iter {
+		t.Fatalf("%s: iterations %d/%d vs %d/%d", label, a.Iterations, a.Phase1Iter, b.Iterations, b.Phase1Iter)
+	}
+	if a.Factorized != b.Factorized {
+		t.Fatalf("%s: factorizations %d vs %d", label, a.Factorized, b.Factorized)
+	}
+	if a.SparseSolves != b.SparseSolves || a.DenseSolves != b.DenseSolves ||
+		a.SolveNNZ != b.SolveNNZ || a.SolveDim != b.SolveDim {
+		t.Fatalf("%s: solve counters (%d,%d,%d,%d) vs (%d,%d,%d,%d)", label,
+			a.SparseSolves, a.DenseSolves, a.SolveNNZ, a.SolveDim,
+			b.SparseSolves, b.DenseSolves, b.SolveNNZ, b.SolveDim)
+	}
+	if a.DevexResets != b.DevexResets || a.DualRecomputes != b.DualRecomputes {
+		t.Fatalf("%s: devex counters (%d,%d) vs (%d,%d)", label,
+			a.DevexResets, a.DualRecomputes, b.DevexResets, b.DualRecomputes)
+	}
+	for j := range a.X {
+		if a.X[j] != b.X[j] {
+			t.Fatalf("%s: X[%d] = %v vs %v (not bit-identical)", label, j, a.X[j], b.X[j])
 		}
 	}
-	if specs == 0 {
-		t.Fatal("no speculative FTRANs were issued; the test exercised nothing")
+	for i := range a.Dual {
+		if a.Dual[i] != b.Dual[i] {
+			t.Fatalf("%s: Dual[%d] = %v vs %v (not bit-identical)", label, i, a.Dual[i], b.Dual[i])
+		}
 	}
 }
 
@@ -56,7 +58,11 @@ func TestConcurrentSolvesShareNoWorkspace(t *testing.T) {
 	want := make([]*Solution, len(models))
 	for i := range models {
 		models[i] = randomFlowModel(rng)
-		want[i] = solveWithBackend(t, models[i], backend.NameSerial, 1)
+		sol, err := models[i].Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sol
 	}
 	const goroutines, rounds = 4, 12
 	got := make([][]*Solution, goroutines)
@@ -93,8 +99,8 @@ func TestConcurrentSolvesShareNoWorkspace(t *testing.T) {
 // computational form and constraint matrix, the CSR mirror, the simplex
 // buffers, the LU factors and the pattern workspace — must allocate only
 // its Solution output (the Solution, X, Dual, ReducedObj, the Basis and
-// its Status slice) plus the serial backend. A regression here puts every
-// re-solve of the admission daemon back into the allocator.
+// its Status slice). A regression here puts every re-solve of the
+// admission daemon back into the allocator.
 func TestResolveRecycledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -123,9 +129,9 @@ func TestResolveRecycledAllocs(t *testing.T) {
 			if sol.Status != Optimal || sol.Objective != first.Objective {
 				t.Fatalf("re-solve: status %v objective %v, want optimal %v", sol.Status, sol.Objective, first.Objective)
 			}
-			// Six Solution allocations plus the serial backend; the bound
-			// leaves room for one stray allocation.
-			const budget = 8
+			// Six Solution allocations; the bound leaves room for one
+			// stray allocation.
+			const budget = 7
 			t.Logf("allocs/solve: %.1f", allocs)
 			if allocs > budget {
 				t.Fatalf("re-solve allocates %.1f times, want <= %d", allocs, budget)
@@ -145,13 +151,8 @@ func BenchmarkRefactorize(b *testing.B) {
 	}
 	opt := (*Options)(nil).withDefaults(w.cf.m, w.cf.n)
 	w.cf.perturb(opt.Perturb)
-	be, err := backend.New(opt.Backend, opt.BackendWorkers, w.cf.m, w.cf.n+w.cf.m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer be.Close()
 	s := &w.s
-	s.reset(&w.cf, opt, be)
+	s.reset(&w.cf, opt)
 	if err := s.coldStart(); err != nil {
 		b.Fatal(err)
 	}
@@ -185,4 +186,59 @@ func BenchmarkWarmResolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// largeFlowModel builds a min-cost-flow LP on 110 nodes with about 35% arc
+// density: over 4000 columns including slacks, large enough that the
+// refactorization and re-solve benchmarks time real LU work.
+func largeFlowModel(rng *rand.Rand) *Model {
+	n := 110
+	src, sink := 0, n-1
+	demand := 1 + float64(rng.Intn(20))
+	m := NewModel()
+	type arc struct {
+		from, to int
+		v        VarID
+	}
+	var arcs []arc
+	add := func(from, to int, cap, cost float64) {
+		v := m.AddVariable(0, cap, cost, "")
+		arcs = append(arcs, arc{from, to, v})
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && rng.Float64() < 0.35 {
+				add(i, j, float64(1+rng.Intn(15)), float64(rng.Intn(10)))
+			}
+		}
+	}
+	add(src, sink, demand, 1000) // feasibility backstop, as in randomFlowModel
+	for v := 0; v < n; v++ {
+		var idx []VarID
+		var val []float64
+		for _, a := range arcs {
+			if a.from == v {
+				idx = append(idx, a.v)
+				val = append(val, 1)
+			}
+			if a.to == v {
+				idx = append(idx, a.v)
+				val = append(val, -1)
+			}
+		}
+		rhs := 0.0
+		switch v {
+		case src:
+			rhs = demand
+		case sink:
+			rhs = -demand
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		if _, err := m.AddConstraint(EQ, rhs, idx, val); err != nil {
+			panic(err)
+		}
+	}
+	return m
 }

@@ -5,19 +5,17 @@ import (
 	"math"
 	"sync"
 
-	"github.com/interdc/postcard/internal/lp/backend"
 	"github.com/interdc/postcard/internal/lp/sparse"
 )
 
-// Variable status within the simplex. The type (and its values) live in
-// the backend package so status slices cross the compute seam uncopied.
-type vstatus = backend.VStatus
+// Variable status within the simplex.
+type vstatus byte
 
 const (
-	vBasic   = backend.Basic
-	vAtLower = backend.AtLower
-	vAtUpper = backend.AtUpper
-	vFree    = backend.Free // nonbasic free variable resting at zero
+	vBasic vstatus = iota + 1
+	vAtLower
+	vAtUpper
+	vFree // nonbasic free variable resting at zero
 )
 
 // compForm is the computational form of a model: min c·x subject to
@@ -177,10 +175,6 @@ type simplex struct {
 
 	seen []bool // tryWarmStart's bijection check, length n+m
 
-	// compute backend for the hot kernels, plus the reusable scan input.
-	be   backend.Backend
-	scan backend.PriceInput
-
 	useDevex bool
 
 	iters       int
@@ -208,9 +202,8 @@ type simplex struct {
 // to is pre-sized, so iterations after warm-up perform no allocations
 // (asserted by TestSteadyStateIterationAllocs). Storage is reused from the
 // previous solve whenever it is large enough, so a re-solve of a model no
-// larger than the last one allocates nothing here. The backend is owned by
-// the caller, who must Close it after the solve.
-func (s *simplex) reset(cf *compForm, opt Options, be backend.Backend) {
+// larger than the last one allocates nothing here.
+func (s *simplex) reset(cf *compForm, opt Options) {
 	m, total := cf.m, cf.n+cf.m
 	*s = simplex{
 		cf:         cf,
@@ -245,19 +238,10 @@ func (s *simplex) reset(cf *compForm, opt Options, be backend.Backend) {
 		deltaVal:   emptied(s.deltaVal, m),
 		ws:         s.ws,
 		seen:       s.seen,
-		be:         be,
 		useDevex:   opt.Pricing == PricingDevex,
 		devexStale: true, // weights start uninitialized
 	}
 	s.at.Mirror(&cf.a)
-	s.scan = backend.PriceInput{
-		D:     s.d,
-		W:     s.devexW,
-		Lo:    cf.lo,
-		Hi:    cf.hi,
-		VStat: s.vstat,
-		Tol:   opt.OptTol,
-	}
 }
 
 // zeroed returns buf with length n and every element zero, reusing its
@@ -308,10 +292,8 @@ func (s *simplex) nbValue(j int) float64 {
 // applies any singularity repairs to the basis bookkeeping, clears the eta
 // file, recomputes basic variable values from scratch, and invalidates the
 // maintained reduced costs (which are defined against the dropped etas and
-// possibly-repaired basis). Speculative backend solves still reading the
-// old factors are joined first.
+// possibly-repaired basis).
 func (s *simplex) refactorize() error {
-	s.be.Join()
 	if err := s.lu.FactorizeBasis(&s.cf.a, s.basis, s.opt.PivotTol*1e-2); err != nil {
 		return fmt.Errorf("lp: basis factorization: %w", err)
 	}
@@ -398,42 +380,17 @@ func (s *simplex) noteSolve(ok bool, n int) {
 // touched positions in wIdx/wMark. w must be clear (all-zero, pattern empty)
 // on entry; callers restore that invariant with clearW.
 func (s *simplex) ftran(q int) {
-	var ok bool
-	if bx, bpat, bok, hit := s.be.Collect(q, &s.lu); hit {
-		// The backend speculated this base solve against the exact same
-		// factorization; replaying it is bit-identical to solving afresh
-		// (the eta file is applied below at use time either way), and the
-		// hyper-sparse counters record exactly what the fresh solve would.
-		ok = bok
-		if ok {
-			s.wIdx = s.wIdx[:0]
-			for _, i := range bpat {
-				s.w[i] = bx[i]
-				s.wIdx = append(s.wIdx, i)
-			}
-		} else {
-			copy(s.w, bx)
-			s.wIdx = s.wIdx[:0]
-			for i, v := range s.w {
-				if v != 0 {
-					s.wIdx = append(s.wIdx, i)
-				}
-			}
-		}
+	idx, val := s.cf.a.ColumnSlices(q)
+	pat, ok := s.lu.SolveSparseRHS(idx, val, s.w, &s.ws, s.sparseLimit())
+	if ok {
+		s.wIdx = append(s.wIdx[:0], pat...)
 	} else {
-		idx, val := s.cf.a.ColumnSlices(q)
-		var pat []int
-		pat, ok = s.lu.SolveSparseRHS(idx, val, s.w, &s.ws, s.sparseLimit())
-		if ok {
-			s.wIdx = append(s.wIdx[:0], pat...)
-		} else {
-			// The dense fallback overwrote all of w; harvest the exact nonzeros
-			// so downstream pattern consumers see a uniform representation.
-			s.wIdx = s.wIdx[:0]
-			for i, v := range s.w {
-				if v != 0 {
-					s.wIdx = append(s.wIdx, i)
-				}
+		// The dense fallback overwrote all of w; harvest the exact nonzeros
+		// so downstream pattern consumers see a uniform representation.
+		s.wIdx = s.wIdx[:0]
+		for i, v := range s.w {
+			if v != 0 {
+				s.wIdx = append(s.wIdx, i)
 			}
 		}
 	}
@@ -558,12 +515,24 @@ func (s *simplex) btranUnit(r int) {
 
 // pivotRowAlpha assembles alpha = rhoᵀ A over all columns by walking the CSR
 // rows touched by the sparse BTRAN result — the hyper-sparse replacement for
-// scanning every column of A. The walk itself runs on the compute backend
-// (the parallel backend partitions it by column ranges, which preserves the
-// per-column accumulation order and therefore the exact floating-point
-// values; only the alphaIdx ordering may differ, which no consumer reads).
+// scanning every column of A.
 func (s *simplex) pivotRowAlpha() {
-	s.alphaIdx = s.be.PivotRow(&s.at, s.rho, s.rhoIdx, s.alpha, s.alphaMark, s.alphaIdx[:0])
+	s.alphaIdx = s.alphaIdx[:0]
+	for _, i := range s.rhoIdx {
+		ri := s.rho[i]
+		if ri == 0 {
+			continue
+		}
+		cols, vals := s.at.RowSlices(i)
+		for p, j := range cols {
+			if !s.alphaMark[j] {
+				s.alphaMark[j] = true
+				s.alphaIdx = append(s.alphaIdx, j)
+				s.alpha[j] = 0
+			}
+			s.alpha[j] += ri * vals[p]
+		}
+	}
 }
 
 func (s *simplex) clearAlpha() {
@@ -719,7 +688,42 @@ func (s *simplex) recomputeD(phase1 bool) {
 // touched — this is a single pass over two dense arrays, which is what
 // makes full-scan (rather than windowed) pricing affordable here.
 func (s *simplex) priceDevex() (q int, dq, dir float64) {
-	return s.be.PriceDevex(&s.scan)
+	q = -1
+	best := 0.0
+	tol := s.opt.OptTol
+	total := s.cf.n + s.cf.m
+	for j := 0; j < total; j++ {
+		st := s.vstat[j]
+		if st == vBasic || s.cf.lo[j] == s.cf.hi[j] {
+			continue
+		}
+		dj := s.d[j]
+		var cdir float64
+		switch st {
+		case vAtLower:
+			if dj >= -tol {
+				continue
+			}
+			cdir = 1
+		case vAtUpper:
+			if dj <= tol {
+				continue
+			}
+			cdir = -1
+		default: // vFree
+			if dj < -tol {
+				cdir = 1
+			} else if dj > tol {
+				cdir = -1
+			} else {
+				continue
+			}
+		}
+		if score := dj * dj / s.devexW[j]; score > best {
+			best, q, dq, dir = score, j, dj, cdir
+		}
+	}
+	return q, dq, dir
 }
 
 // priceMaintainedWindow selects the entering variable with the legacy
@@ -824,7 +828,16 @@ func (s *simplex) phase1DualDelta() {
 		return
 	}
 	s.btranSparse(s.deltaIdx, s.deltaVal)
-	s.be.DualDelta(&s.at, s.rho, s.rhoIdx, s.d)
+	for _, i := range s.rhoIdx {
+		vi := s.rho[i]
+		if vi == 0 {
+			continue
+		}
+		cols, vals := s.at.RowSlices(i)
+		for p, j := range cols {
+			s.d[j] -= vi * vals[p]
+		}
+	}
 	s.clearRho()
 }
 
@@ -1280,14 +1293,8 @@ func (m *Model) solveIn(w *solveWork, opts *Options) (*Solution, error) {
 	}
 	opt := opts.withDefaults(cf.m, cf.n)
 	cf.perturb(opt.Perturb)
-	be, err := backend.New(opt.Backend, opt.BackendWorkers, cf.m, cf.n+cf.m)
-	if err != nil {
-		return nil, err
-	}
-	// Joins the backend's detached solves before w returns to the pool.
-	defer be.Close()
 	s := &w.s
-	s.reset(cf, opt, be)
+	s.reset(cf, opt)
 	if opt.InitialBasis != nil && s.tryWarmStart(opt.InitialBasis) {
 		s.warmStarted = true
 	} else if err := s.coldStart(); err != nil {
@@ -1488,11 +1495,6 @@ func (s *simplex) runPhase2() (Status, bool, error) {
 			}
 			confirmed = false
 			s.ftran(q)
-			// Launch speculative base FTRANs for this scan's runner-up
-			// candidates; they overlap the ratio test and pivot below and are
-			// collected by the next iteration's ftran if one of the runners
-			// wins the next scan against the same factorization.
-			s.be.Speculate(&s.lu, &s.cf.a, s.sparseLimit(), q)
 			res := s.ratioTest(q, dir, false)
 			if res.unbound {
 				s.clearW()
@@ -1567,13 +1569,7 @@ func (s *simplex) solution(m *Model, status Status) *Solution {
 		SolveDim:       s.solveDim,
 		DevexResets:    s.devexResets,
 		DualRecomputes: s.dRecomputes,
-		BackendWorkers: s.be.Workers(),
 	}
-	bc := s.be.Counters()
-	sol.DevexScans = bc.DevexScans
-	sol.ParallelScans = bc.ParallelScans
-	sol.SpecFtrans = bc.SpecFtrans
-	sol.SpecFtranHits = bc.SpecFtranHits
 	if status != Optimal && status != IterLimit {
 		return sol
 	}

@@ -22,12 +22,9 @@ type Repair struct {
 // An LU owns its storage and keeps it: factorizing into an existing LU
 // (the Factorize and FactorizeBasis methods) overwrites the previous factors
 // in place, so a caller that refactorizes one LU repeatedly allocates
-// nothing once its buffers have reached their working size. Each
-// factorization advances the LU's generation (Gen), which lets holders of
-// results derived from one factorization tell stale ones from current ones.
+// nothing once its buffers have reached their working size.
 type LU struct {
-	n   int
-	gen uint64
+	n int
 
 	lColPtr []int
 	lRow    []int
@@ -65,11 +62,6 @@ type LU struct {
 
 // N reports the dimension of the factorized matrix.
 func (f *LU) N() int { return f.n }
-
-// Gen reports the generation of the current factorization: the number of
-// factorizations f has started. A result computed against f at generation
-// g is current exactly while Gen() == g.
-func (f *LU) Gen() uint64 { return f.gen }
 
 // Repairs reports the basis repairs performed, in factorization order. An
 // empty slice means the matrix was numerically nonsingular. The slice is
@@ -113,7 +105,6 @@ func (f *LU) Factorize(n int, column func(k int) ([]int, []float64), pivTol floa
 		pivTol = 1e-11
 	}
 	f.n = n
-	f.gen++
 	f.lColPtr = append(f.lColPtr[:0], 0)
 	f.lRow, f.lVal = f.lRow[:0], f.lVal[:0]
 	f.uColPtr = append(f.uColPtr[:0], 0)

@@ -16,7 +16,8 @@
 // batch: the final plan is committed to the charging ledger and the per-file
 // records flip from provisional to committed. Close drains the open batch
 // and optionally snapshots the full state to disk; Restore resumes a
-// snapshotted server bit-identically (see snapshot.go).
+// snapshotted server (bit-identically under RepublishOnCommitOnly; see
+// snapshot.go).
 package server
 
 import (

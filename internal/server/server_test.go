@@ -316,7 +316,10 @@ func TestServerSmoke(t *testing.T) {
 
 // TestServerSnapshotRestart kills a server mid-horizon and restores it
 // from its JSON snapshot: the remaining slots must commit bit-identical
-// plans and costs versus the uninterrupted twin.
+// plans and costs versus the uninterrupted twin. Both twins republish only
+// at slot commit: the eager background republisher's solve count depends on
+// goroutine scheduling, and a different chain of warm bases can move a
+// plan's cost in its last bit even between two uninterrupted runs.
 func TestServerSnapshotRestart(t *testing.T) {
 	const dcs, cut, slots = 5, 4, 9
 	const capacity = 150.0
@@ -331,8 +334,9 @@ func TestServerSnapshotRestart(t *testing.T) {
 
 	newServer := func() *Server {
 		return testServer(t, Config{
-			Network:  testNetwork(t, dcs, capacity),
-			Charging: netmodel.Charging{Q: 100, PeriodSlots: slots},
+			Network:               testNetwork(t, dcs, capacity),
+			Charging:              netmodel.Charging{Q: 100, PeriodSlots: slots},
+			RepublishOnCommitOnly: true,
 		})
 	}
 	drive := func(s *Server, from, to int) {
@@ -372,7 +376,7 @@ func TestServerSnapshotRestart(t *testing.T) {
 	if err := b1.WriteSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := RestoreFile(Config{}, path)
+	b2, err := RestoreFile(Config{RepublishOnCommitOnly: true}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +418,60 @@ func TestServerSnapshotRestart(t *testing.T) {
 	}
 	if !bytes.Equal(rawA, rawB) {
 		t.Error("ledger snapshots differ after restart")
+	}
+}
+
+// TestRestoreSnapshotWithRetiredSolverStats restores a version-1 snapshot
+// written before the LP compute backends were removed: its solver stats
+// (serialized by Go field name) still carry the five backend counters that
+// core.SolveStats no longer has. Decoding must drop them and keep every
+// other counter, and the restored server must resume exactly like a server
+// of this version that ran the same slot.
+func TestRestoreSnapshotWithRetiredSolverStats(t *testing.T) {
+	// The inputs that wrote testdata/snapshot-v1-backend-counters.json.
+	const dcs, slots = 4, 6
+	step := func(s *Server, files ...TransferRequest) {
+		t.Helper()
+		for _, f := range files {
+			resp, err := s.Admit(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Admitted {
+				t.Fatalf("file %+v rejected", f)
+			}
+		}
+		if _, err := s.AdvanceSlot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := testServer(t, Config{
+		Network:               testNetwork(t, dcs, 150),
+		Charging:              netmodel.Charging{Q: 100, PeriodSlots: slots},
+		RepublishOnCommitOnly: true,
+	})
+	step(a, TransferRequest{Src: 0, Dst: 2, SizeGB: 20, Deadline: 2},
+		TransferRequest{Src: 1, Dst: 3, SizeGB: 12, Deadline: 3})
+
+	b, err := RestoreFile(Config{RepublishOnCommitOnly: true}, "testdata/snapshot-v1-backend-counters.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	if got, want := b.Status().Solver, a.Status().Solver; got != want {
+		t.Fatalf("restored solver stats %+v, want %+v", got, want)
+	}
+
+	next := TransferRequest{Src: 3, Dst: 0, SizeGB: 25, Deadline: 2, Release: 1}
+	step(a, next)
+	step(b, next)
+	sa, sb := a.Status(), b.Status()
+	if sa.CostPerSlot != sb.CostPerSlot || sa.Admission != sb.Admission {
+		t.Errorf("resumed run diverged: A cost %v %+v, B cost %v %+v", sa.CostPerSlot, sa.Admission, sb.CostPerSlot, sb.Admission)
+	}
+	if sa.Solver.Solves != sb.Solver.Solves || sa.Solver.Iterations != sb.Solver.Iterations {
+		t.Errorf("resumed solver work diverged: A %d solves/%d iters, B %d/%d",
+			sa.Solver.Solves, sa.Solver.Iterations, sb.Solver.Solves, sb.Solver.Iterations)
 	}
 }
 

@@ -14,11 +14,14 @@ const SnapshotVersion = 1
 
 // Snapshot is the full serializable server state: topology and pricing
 // (as an Instance), the charging ledger, the admission controller with its
-// open batch and warm solver basis, and the per-transfer plan records. A
-// server restored from a snapshot resumes its remaining horizon with
-// decisions and committed plans bit-identical to an uninterrupted run
-// (floats round-trip exactly through JSON; only the solver's GraphReuses
-// counter may differ, as the recycled time-expanded graph is rebuilt).
+// open batch and warm solver basis, and the per-transfer plan records.
+// Under RepublishOnCommitOnly, a server restored from a snapshot resumes its
+// remaining horizon with decisions and committed plans bit-identical to an
+// uninterrupted run (floats round-trip exactly through JSON; only the
+// solver's GraphReuses counter may differ, as the recycled time-expanded
+// graph is rebuilt). With the eager background republisher the number of
+// re-solves depends on goroutine scheduling, so two runs — restored or not
+// — may commit plans whose costs differ in the last bits.
 type Snapshot struct {
 	Version       int                           `json:"version"`
 	Slot          int                           `json:"slot"`

@@ -36,82 +36,50 @@
 #                          110-node min-cost-flow LP (internal/lp). B/op
 #                          is the allocation per refactorization (zero: the
 #                          LU storage is recycled) and per re-solve (its
-#                          Solution output only). They run once, before
-#                          any per-backend suite, on the default backend.
+#                          Solution output only). They run first.
 #
-# With -backends the whole suite runs once per LP compute backend (PR 10:
-# "serial" is the bit-identical default, "parallel" fans devex pricing and
-# speculative FTRANs over a worker pool). Backend selection travels through
-# the POSTCARD_LP_BACKEND / POSTCARD_LP_WORKERS environment hooks in
-# bench_test.go, each JSON entry carries its backend, and the header records
-# the host's parallelism (cpus, gomaxprocs) so cross-machine comparisons of
-# the serial-vs-parallel delta stay honest: on a 1-CPU host the parallel
-# backend's workers are oversubscribed and ns/op measures dispatch overhead,
-# not speedup.
+# The JSON header records the host's parallelism (cpus, gomaxprocs), so
+# numbers from different machines are read next to the cores they had.
 #
-# Usage:  scripts/bench.sh [-o output.json] [-backends serial,parallel]
+# Usage:  scripts/bench.sh [-o output.json]
 # Env:    BENCH_OUT         output path (default BENCH_<yyyymmdd>.json;
 #                           the -o flag wins over the env var)
 #         BENCH_COUNT       benchmark repetitions per entry (default 3)
-#         BENCH_LP_WORKERS  worker-pool size for non-serial backends
-#                           (default 0 = one worker per GOMAXPROCS)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${BENCH_OUT:-BENCH_$(date -u +%Y%m%d).json}"
-backends=""
-usage() { echo "usage: scripts/bench.sh [-o output.json] [-backends serial,parallel]" >&2; exit 2; }
+usage() { echo "usage: scripts/bench.sh [-o output.json]" >&2; exit 2; }
 while [ "$#" -gt 0 ]; do
   case "$1" in
-    -o)        [ "$#" -ge 2 ] || usage; out="$2"; shift 2 ;;
-    -backends) [ "$#" -ge 2 ] || usage; backends="$2"; shift 2 ;;
+    -o) [ "$#" -ge 2 ] || usage; out="$2"; shift 2 ;;
     *) usage ;;
   esac
 done
 
 count="${BENCH_COUNT:-3}"
-lp_workers="${BENCH_LP_WORKERS:-0}"
 cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-run_suite() {
-  go test -run '^$' \
-    -bench '^(BenchmarkFig4|BenchmarkFig4WarmStart|BenchmarkFig5|BenchmarkFig7|BenchmarkPostcardSolve|BenchmarkPoissonAdmission|BenchmarkFig4DC16|BenchmarkFig4DC64|BenchmarkFig4DC128)$' \
-    -benchmem -count "$count" . | tee -a "$raw"
-}
-
 go test -run '^$' -bench '^(BenchmarkRefactorize|BenchmarkWarmResolve)$' \
   -benchmem -count "$count" ./internal/lp | tee -a "$raw"
 
-if [ -z "$backends" ]; then
-  run_suite
-else
-  IFS=',' read -ra belist <<<"$backends"
-  for be in "${belist[@]}"; do
-    echo "=== lp-backend: $be ===" | tee -a "$raw"
-    POSTCARD_LP_BACKEND="$be" POSTCARD_LP_WORKERS="$lp_workers" run_suite
-  done
-fi
+go test -run '^$' \
+  -bench '^(BenchmarkFig4|BenchmarkFig4WarmStart|BenchmarkFig5|BenchmarkFig7|BenchmarkPostcardSolve|BenchmarkPoissonAdmission|BenchmarkFig4DC16|BenchmarkFig4DC64|BenchmarkFig4DC128)$' \
+  -benchmem -count "$count" . | tee -a "$raw"
 
-python3 - "$raw" "$out" "$cpus" "$gomaxprocs" "$backends" <<'PYEOF'
+python3 - "$raw" "$out" "$cpus" "$gomaxprocs" <<'PYEOF'
 import json, re, sys, datetime
 
 raw_path, out_path = sys.argv[1], sys.argv[2]
 cpus, gomaxprocs = int(sys.argv[3]), int(sys.argv[4])
-backends = [b for b in sys.argv[5].split(",") if b]
 benches = {}
 order = []
 line_re = re.compile(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$')
-backend_re = re.compile(r'^=== lp-backend: (\S+) ===$')
-backend = None
 for line in open(raw_path):
     line = line.strip()
-    bm = backend_re.match(line)
-    if bm:
-        backend = bm.group(1)
-        continue
     m = line_re.match(line)
     if not m:
         continue
@@ -127,18 +95,15 @@ for line in open(raw_path):
             run["allocs_per_op"] = v
         else:
             run["metrics"][unit] = v
-    key = (name, backend)
-    if key not in benches:
-        benches[key] = []
-        order.append(key)
-    benches[key].append(run)
+    if name not in benches:
+        benches[name] = []
+        order.append(name)
+    benches[name].append(run)
 
 summary = []
-for name, be in order:
-    runs = benches[(name, be)]
+for name in order:
+    runs = benches[name]
     entry = {"name": name, "runs": runs}
-    if be is not None:
-        entry["lp_backend"] = be
     ns = [r["ns_per_op"] for r in runs if "ns_per_op" in r]
     if ns:
         entry["best_ns_per_op"] = min(ns)
@@ -150,13 +115,11 @@ for name, be in order:
 doc = {
     "generated_utc": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
-    # Host parallelism header: the serial-vs-parallel backend delta is only
-    # interpretable next to the core count the worker pool actually had.
+    # Host parallelism header: timings are only comparable next to the
+    # cores the run had.
     "host": {"cpus": cpus, "gomaxprocs": gomaxprocs},
     "benchmarks": summary,
 }
-if backends:
-    doc["lp_backends"] = backends
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
